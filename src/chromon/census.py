@@ -24,12 +24,11 @@ identical tables.
 """
 
 import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import factorial
-
-import numpy as np
 
 from . import intmat
 from .errors import (BadDimension, BadOrder, BudgetExceeded, InternalMismatch,
@@ -275,19 +274,18 @@ class _OrderAnalyzer:
 
         graph = ColoredGraph(d, n, sigma)
         tree = set(spanning_tree(graph))
-        full = np.zeros((total_faces, self.cols), dtype=np.int64)
-        r = 0
+        full = []
         for t, (i, j) in enumerate(self.pairs):
             ci = i * p
             cj = j * p
             for cyc in face_cycles[t]:
-                row = full[r]
+                row = [0] * self.cols
                 for k in cyc:
                     row[ci + k] = 1
                     row[cj + k] = -1
-                r += 1
+                full.append(row)
         keep = [col for col, e in enumerate(self.edge_ids) if e not in tree]
-        reduced = full[:, keep]
+        reduced = [[row[col] for col in keep] for row in full]
         rank_full = intmat.rank(full)
         rank_reduced = intmat.rank(reduced)
         if rank_full != rank_reduced:
@@ -386,28 +384,39 @@ def write_tables(tables, out_dir):
     """Write the three CSV products; returns their paths.
 
     Every value is a base-10 integer; the sphere fraction is written as an
-    exact reduced numerator and denominator.
+    exact reduced numerator and denominator.  Each CSV is first written
+    to a temporary file in out_dir, and only when all three are complete
+    do they replace the targets, so an error while writing leaves the
+    earlier files as they were and no temporary file behind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    census_path = os.path.join(out_dir, CENSUS_CSV)
-    with open(census_path, "w", newline="") as fh:
-        fh.write("d,n,mode,total_connected,h1q_trivial,h1z_trivial,"
-                 "sphere_fraction_num,sphere_fraction_den\n")
-        for t in tables:
-            frac = t.sphere_fraction
-            fh.write("%d,%d,%s,%d,%d,%d,%d,%d\n" % (
-                t.d, t.n, t.mode, t.total_connected, t.h1q_trivial,
-                t.h1z_trivial, frac.numerator, frac.denominator))
-    degree_path = os.path.join(out_dir, DEGREE_CSV)
-    with open(degree_path, "w", newline="") as fh:
-        fh.write("d,n,degree,count\n")
-        for t in tables:
-            for key in sorted(t.degree_histogram):
-                fh.write("%d,%d,%d,%d\n" % (t.d, t.n, key, t.degree_histogram[key]))
-    genus_path = os.path.join(out_dir, MIN_GENUS_CSV)
-    with open(genus_path, "w", newline="") as fh:
-        fh.write("d,n,min_genus,count\n")
-        for t in tables:
-            for key in sorted(t.min_genus_histogram):
-                fh.write("%d,%d,%d,%d\n" % (t.d, t.n, key, t.min_genus_histogram[key]))
-    return [census_path, degree_path, genus_path]
+    census_lines = ["d,n,mode,total_connected,h1q_trivial,h1z_trivial,"
+                    "sphere_fraction_num,sphere_fraction_den\n"]
+    degree_lines = ["d,n,degree,count\n"]
+    genus_lines = ["d,n,min_genus,count\n"]
+    for t in tables:
+        frac = t.sphere_fraction
+        census_lines.append("%d,%d,%s,%d,%d,%d,%d,%d\n" % (
+            t.d, t.n, t.mode, t.total_connected, t.h1q_trivial,
+            t.h1z_trivial, frac.numerator, frac.denominator))
+        for key in sorted(t.degree_histogram):
+            degree_lines.append("%d,%d,%d,%d\n" % (t.d, t.n, key, t.degree_histogram[key]))
+        for key in sorted(t.min_genus_histogram):
+            genus_lines.append("%d,%d,%d,%d\n" % (t.d, t.n, key, t.min_genus_histogram[key]))
+    products = ((CENSUS_CSV, census_lines), (DEGREE_CSV, degree_lines),
+                (MIN_GENUS_CSV, genus_lines))
+    paths = [os.path.join(out_dir, name) for name, _ in products]
+    temps = []
+    try:
+        for name, lines in products:
+            fd, temp = tempfile.mkstemp(prefix="." + name + ".", dir=out_dir)
+            temps.append(temp)
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.writelines(lines)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+    return paths

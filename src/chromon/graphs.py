@@ -123,9 +123,6 @@ class FaceCensus:
     count_by_pair: dict = field(repr=False)
     total: int
 
-    def lengths_by_pair(self, pair):
-        return tuple(f.length for f in self.faces if f.colors == pair)
-
 
 def enumerate_faces(graph):
     """Decompose every pair of colors into faces.

@@ -27,9 +27,6 @@ class IncidenceMatrix:
     entries: tuple
     edge_columns: tuple
 
-    def column_index(self, color, black):
-        return next(i for i, e in enumerate(self.edge_columns) if e == (color, black))
-
 
 def incidence_matrix(graph, faces):
     p = graph.p
@@ -105,10 +102,12 @@ def reduce_columns(matrix, tree):
 def homology_report(graph, matrix=None, tree=None):
     """Build the report for a connected graph.
 
-    Both the full and the reduced matrix are eliminated; if their exact
-    ranks ever differ the gauge argument is broken and GaugeRankMismatch
-    is raised.  A graph with fewer faces than |L| can never reach full
-    rank, so its rational verdict is nontrivial without looking further.
+    Both the full and the reduced matrix are eliminated for every graph,
+    including one with fewer faces than |L| whose verdict over Q is
+    nontrivial on that count alone; if the two exact ranks differ the
+    gauge argument is broken and GaugeRankMismatch is raised.  The
+    invariant factors of the reduced matrix are always computed too, and
+    their count must equal its rank.
     """
     from .graphs import enumerate_faces
 

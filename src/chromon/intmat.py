@@ -1,119 +1,38 @@
 """Exact integer matrix routines: rank over Q and invariant factors over Z.
 
-Rank uses fraction-free Bareiss elimination in numpy int64 with an overflow
-guard; every intermediate entry of Bareiss elimination is a minor of the
-input, so a magnitude bound on the working matrix certifies that the next
-update cannot wrap.  Matrices that are too large, or any guard trip, fall
-back to arbitrary-precision elimination in plain Python.
+Both come from one elimination over Z.  The rows are read into sparse
+form, then reduced by unit pivots: take the shortest live row that holds
+a +-1 entry, pivot on that entry, clear its column from every other row
+by subtracting an integer multiple of the pivot row, and drop the pivot
+row and column.  Row operations are unimodular, and once the column is
+clear the pivot row can be cleared by column operations that touch no
+other row, so every unit pivot is one invariant factor equal to 1.  Face
+incidence rows after the spanning-tree gauge are sparse with entries
++-1, so nearly every pivot is a unit (the sparse reduction of Dumas,
+Saunders and Villard, J. Symbolic Comput. 32 (2001); Kaczynski,
+Mischaikow and Mrozek, Computational Homology (2004)).
 
-Invariant factors come from integer diagonalization (row and column
-operations with Euclidean pivots) followed by the pairwise gcd/lcm fix-up
-that sorts prime exponents along the diagonal into a divisibility chain.
-Diagonalization re-selects a minimum-magnitude pivot before every clearing
-pass and rounds quotients to the nearest integer, which keeps intermediate
-entries from the runaway growth that floor division with a fixed pivot
-produces on dense matrices.
+When no unit entry is left, the leftover rows form a small dense block
+that is diagonalized with Euclidean pivots: row and column operations
+that re-select a minimum-magnitude pivot before every clearing pass and
+round quotients to the nearest integer, which keeps intermediate entries
+from the runaway growth that floor division with a fixed pivot produces
+on dense matrices.  The rank is the number of nonzero diagonal entries;
+the invariant factors are that diagonal after the pairwise gcd/lcm fix-up
+that sorts prime exponents into a divisibility chain.
 """
 
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
-
-import numpy as np
-
-# Entries at most 2^30 make every Bareiss update fit int64: the update is
-# piv*a - b*c with all four factors bounded by the guard, hence at most
-# 2^61 in magnitude before the exact division.
-_GUARD = 1 << 30
-# Above this size the int64 path rarely survives the guard; go straight to
-# arbitrary precision.
-_I64_DIM_LIMIT = 32
-
-
-class _Overflow(Exception):
-    pass
-
-
-def _rank_bareiss_i64(matrix):
-    m = np.array(matrix, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return 0
-    if np.abs(m).max() > _GUARD:
-        raise _Overflow
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr], :] = m[[pr, r], :]
-        piv = int(m[r, c])
-        if r + 1 < rows:
-            sub = m[r + 1:, :]
-            upd = (piv * sub - np.outer(sub[:, c], m[r, :])) // prev
-            m[r + 1:, :] = upd
-            if np.abs(upd).max() > _GUARD:
-                raise _Overflow
-        prev = piv
-        r += 1
-    return r
-
-
-def _rank_bigint(matrix):
-    """Exact rank by integer column elimination with Euclidean reduction.
-
-    Row operations only subtract integer multiples of other rows, so the
-    matrix stays integral and the rank is preserved.  Works at any size;
-    entries grow additively, not like minors.
-    """
-    rows = [list(map(int, row)) for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        live = [i for i in range(r, m) if rows[i][c]]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(rows[i][c]))
-            base = live[0]
-            bv = rows[base][c]
-            brow = rows[base]
-            nxt = [base]
-            for i in live[1:]:
-                q = rows[i][c] // bv
-                rows[i] = [a - q * b for a, b in zip(rows[i], brow)]
-                if rows[i][c]:
-                    nxt.append(i)
-            live = nxt
-        i = live[0]
-        rows[r], rows[i] = rows[i], rows[r]
-        r += 1
-    return r
 
 
 def rank(matrix):
-    """Exact rank of an integer matrix over the rationals."""
-    if isinstance(matrix, np.ndarray):
-        rows, cols = matrix.shape
-    else:
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return 0
-    if min(rows, cols) <= _I64_DIM_LIMIT:
-        try:
-            return _rank_bareiss_i64(matrix)
-        except _Overflow:
-            pass
-    return _rank_bigint(matrix)
+    """Exact rank of an integer matrix over the rationals.
+
+    matrix is a sequence of equal-length rows of integers.
+    """
+    return len(_diagonal(matrix))
 
 
 def invariant_factors(matrix):
@@ -122,16 +41,7 @@ def invariant_factors(matrix):
     Returns a tuple (f_1, ..., f_r) with f_i > 0, f_i dividing f_{i+1} and
     r the rank of the matrix.
     """
-    mat = [list(map(int, row)) for row in matrix]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    diag = []
-    t = 0
-    while t < m and t < n:
-        if not _diagonal_step(mat, t, m, n):
-            break
-        diag.append(abs(mat[t][t]))
-        t += 1
+    diag = _diagonal(matrix)
     changed = True
     while changed:
         changed = False
@@ -142,6 +52,87 @@ def invariant_factors(matrix):
                 diag[i], diag[i + 1] = g, (a // g) * b
                 changed = True
     return tuple(diag)
+
+
+def _diagonal(matrix):
+    """Positive diagonal of a matrix equivalent to `matrix` over Z: a 1 per
+    unit pivot, then the Euclidean diagonal of the leftover block."""
+    units, block = _unit_pivots(matrix)
+    m = len(block)
+    n = len(block[0]) if m else 0
+    diag = [1] * units
+    t = 0
+    while t < m and t < n and _diagonal_step(block, t, m, n):
+        diag.append(abs(block[t][t]))
+        t += 1
+    return diag
+
+
+def _unit_pivots(matrix):
+    """Take every +-1 pivot; returns (their count, dense leftover rows).
+
+    rows[i] maps column to nonzero entry, and col_rows[j] lists every row
+    that has held an entry in column j; a listed row that has since lost
+    it, or was itself a pivot row, is skipped.  The heap holds (length,
+    row) pairs and key[i] is the length in the pair that is current for
+    row i, so any other pair of that row is stale.  A row that shrinks is
+    pushed again at once and a row that grew when its old pair comes up,
+    so a pair popped with the row's true length names the shortest live
+    row.  A row without a unit entry is parked (key -1) until a pivot
+    changes it.
+    """
+    columns = range(len(matrix[0]) if len(matrix) else 0)
+    rows = [{j: row[j] for j in compress(columns, row)} for row in matrix]
+    col_rows = [[] for _ in columns]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].append(i)
+    key = [len(row) for row in rows]
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    units = 0
+    while heap:
+        size, i = heappop(heap)
+        prow = rows[i]
+        if prow is None or size != key[i]:
+            continue
+        if len(prow) != size:
+            key[i] = len(prow)
+            heappush(heap, (key[i], i))
+            continue
+        for pc, sign in prow.items():
+            if sign == 1 or sign == -1:
+                break
+        else:
+            key[i] = -1
+            continue
+        rows[i] = None
+        for k in col_rows[pc]:
+            krow = rows[k]
+            if krow is None:
+                continue
+            q = krow.get(pc)
+            if q is None:
+                continue
+            q *= sign
+            for j, v in prow.items():
+                w = krow.get(j)
+                if w is None:
+                    krow[j] = -q * v
+                    col_rows[j].append(k)
+                else:
+                    w -= q * v
+                    if w:
+                        krow[j] = w
+                    else:
+                        del krow[j]
+            if len(krow) < key[k] or key[k] < 0:
+                key[k] = len(krow)
+                heappush(heap, (key[k], k))
+        units += 1
+    left = [row for row in rows if row]
+    left_cols = sorted({j for row in left for j in row})
+    return units, [[row.get(j, 0) for j in left_cols] for row in left]
 
 
 def _find_pivot(mat, t, m, n):

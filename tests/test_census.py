@@ -1,3 +1,4 @@
+import errno
 import os
 
 import pytest
@@ -152,6 +153,39 @@ def test_csv_products(tmp_path):
         assert fh.read() == DEGREE_GOLDEN
     with open(paths[2]) as fh:
         assert fh.read() == MIN_GENUS_GOLDEN
+
+
+def test_write_tables_is_atomic(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    paths = write_tables(run_census(3, 4, "labeled"), out)
+    before = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            before[path] = fh.read()
+    real_fdopen = os.fdopen
+    opened = []
+
+    def full_disk_on_third_file(fd, *args, **kwargs):
+        opened.append(fd)
+        fh = real_fdopen(fd, *args, **kwargs)
+        if len(opened) == 3:
+            fh.close()
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return fh
+
+    def failing_replace(src, dst):
+        raise OSError(errno.EIO, "replace failed")
+
+    for name, fake in (("fdopen", full_disk_on_third_file), ("replace", failing_replace)):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, fake)
+            with pytest.raises(OSError):
+                write_tables(run_census(3, 6, "labeled"), out)
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
+        for path in paths:
+            with open(path, "rb") as fh:
+                assert fh.read() == before[path]
+    assert len(opened) == 3
 
 
 def test_budget_guard():

@@ -1,12 +1,18 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import product
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_rank, minor_gcd_factors, sympy_invariant_factors
-from chromon.intmat import (_rank_bareiss_i64, _rank_bigint, invariant_factors,
-                            rank)
+import chromon
+from chromon import intmat
+from chromon.census import enumerate_connected
+from chromon.graphs import build_graph, enumerate_faces
+from chromon.homology import incidence_matrix, reduce_columns, spanning_tree
+from chromon.intmat import invariant_factors, rank
 
 
 def matrix_st(max_dim=6, lo=-9, hi=9):
@@ -22,8 +28,8 @@ def test_rank_exhaustive_small_sign_matrices():
         m = [list(flat[:3]), list(flat[3:])]
         expected = fraction_rank(m)
         assert rank(m) == expected
-        assert _rank_bareiss_i64(m) == expected
-        assert _rank_bigint(m) == expected
+        assert rank(list(zip(*m))) == expected
+        assert len(invariant_factors(m)) == expected
 
 
 @given(matrix_st())
@@ -31,7 +37,7 @@ def test_rank_exhaustive_small_sign_matrices():
 def test_rank_matches_fraction_oracle(m):
     expected = fraction_rank(m)
     assert rank(m) == expected
-    assert _rank_bigint(m) == expected
+    assert rank(list(zip(*m))) == expected
 
 
 @given(matrix_st(max_dim=5, lo=-3, hi=3))
@@ -43,18 +49,32 @@ def test_rank_properties(m):
     assert rank(list(map(list, zip(*m)))) == r
 
 
-def test_rank_falls_back_on_big_entries():
+def test_big_entries_match_oracles():
+    # entries far beyond 64 bits, with and without unit pivots beside them
     big = 1 << 40
-    m = [[big, 0], [0, big], [big, big]]
-    assert rank(m) == 2
-    with pytest.raises(Exception):
-        _rank_bareiss_i64(m)
+    cases = [
+        [[big, 0], [0, big], [big, big]],
+        [[big, big + 1], [big - 1, big]],
+        [[3 * big, 6 * big, 9 * big], [big, 2 * big + 1, 0]],
+        [[1, big, 0], [big, 1, big], [0, big, 1]],
+        [[big, 2 * big], [2 * big, 4 * big]],
+    ]
+    for m in cases:
+        assert rank(m) == fraction_rank(m)
+        assert invariant_factors(m) == minor_gcd_factors(m)
 
 
-def test_rank_accepts_numpy_arrays():
-    m = np.array([[1, 2], [2, 4], [0, 1]])
+def test_rank_accepts_tuple_rows_and_zero_rows():
+    m = ((1, 2), (2, 4), (0, 1))
     assert rank(m) == 2
-    assert rank(np.zeros((3, 4), dtype=np.int64)) == 0
+    assert invariant_factors(m) == (1, 1)
+    zeros = ((0, 0, 0, 0),) * 3
+    assert rank(zeros) == 0
+    assert invariant_factors(zeros) == ()
+    assert rank(((0, 0, 0), (2, -2, 0), (0, 0, 0))) == 1
+    assert invariant_factors(((0, 0, 0), (2, -2, 0), (0, 0, 0))) == (2,)
+    assert rank(()) == 0
+    assert invariant_factors(()) == ()
 
 
 def test_invariant_factors_known_case():
@@ -95,3 +115,38 @@ def test_factor_chain_and_rank_agree(m):
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
     assert all(f > 0 for f in factors)
+
+
+def test_leftover_block_matches_oracles(monkeypatch):
+    # matrices without a single unit entry go wholly to the leftover block;
+    # the order-8 torsion graph needs it for its factor 2, and the d=3
+    # incidence rows up to n=6 cover the unit-pivot path around it
+    blocks = []
+    real_step = intmat._diagonal_step
+
+    def spy(mat, t, m, n):
+        blocks.append((m, n))
+        return real_step(mat, t, m, n)
+
+    monkeypatch.setattr(intmat, "_diagonal_step", spy)
+    rng = random.Random(8)
+    cases = [[[rng.choice((0, 0, 2, -2, 3, -4, 6)) for _ in range(cols)]
+              for _ in range(rows)]
+             for rows, cols in product(range(1, 6), repeat=2)]
+    torsion = build_graph(3, 8, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    graphs = [torsion] + [g for n in (2, 4, 6) for g in enumerate_connected(3, n)]
+    for g in graphs:
+        full = incidence_matrix(g, enumerate_faces(g))
+        reduced, _ = reduce_columns(full, spanning_tree(g))
+        cases += [full.entries, reduced]
+    for m in cases:
+        assert rank(m) == fraction_rank(m)
+        assert invariant_factors(m) == sympy_invariant_factors(m)
+    assert any(m > 0 and n > 0 for m, n in blocks)
+
+
+def test_import_needs_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chromon.__file__)))
+    code = "import sys, chromon; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -34,10 +34,10 @@ from . import intmat
 from .errors import (BadDimension, BadOrder, BudgetExceeded, InternalMismatch,
                      InvariantViolation)
 from .graphs import (MAX_DIMENSION, MIN_DIMENSION, ColoredGraph, format_graph)
-from .homology import spanning_tree
+from .homology import column_map, drop_columns, face_row, spanning_tree
 from .jackets import adjacent_pairs, color_cycles, max_genus
 from .perms import (all_perms, centralizer, conjugacy_class_reps, conjugate,
-                    cycles, identity, inverse, is_full_symmetric)
+                    cycles, identity, inverse)
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -120,7 +120,7 @@ def _prefix_reps(stab, levels, p):
     if levels == 0:
         yield ((), tuple(stab))
         return
-    if is_full_symmetric(stab, p):
+    if len(stab) == factorial(p):
         for rep in conjugacy_class_reps(p):
             cent = centralizer(rep)
             for suffix, rest_stab in _prefix_reps(cent, levels - 1, p):
@@ -226,7 +226,6 @@ class _OrderAnalyzer:
         self.lemma2_rhs = (d - 1) * (4 + (d - 2) * n)
         self.eq8_rhs = self.fact_dm1 * (4 * (d - 1) + (d - 1) * (d - 2) * n)
         self.edge_ids = [(c, k) for c in range(d + 1) for k in range(p)]
-        self.cols = len(self.edge_ids)
 
     def _violation(self, message, sigma):
         graph = ColoredGraph(self.d, self.n, sigma)
@@ -273,19 +272,10 @@ class _OrderAnalyzer:
             self._violation("degree %d disagrees with its closed form" % omega, sigma)
 
         graph = ColoredGraph(d, n, sigma)
-        tree = set(spanning_tree(graph))
-        full = []
-        for t, (i, j) in enumerate(self.pairs):
-            ci = i * p
-            cj = j * p
-            for cyc in face_cycles[t]:
-                row = [0] * self.cols
-                for k in cyc:
-                    row[ci + k] = 1
-                    row[cj + k] = -1
-                full.append(row)
-        keep = [col for col, e in enumerate(self.edge_ids) if e not in tree]
-        reduced = [[row[col] for col in keep] for row in full]
+        full = [face_row(i, j, cyc, p)
+                for (i, j), cycs in zip(self.pairs, face_cycles) for cyc in cycs]
+        new_index = column_map(self.edge_ids, spanning_tree(graph))
+        reduced = drop_columns(full, new_index)
         rank_full = intmat.rank(full)
         rank_reduced = intmat.rank(reduced)
         if rank_full != rank_reduced:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, census, decomposition, subdivision
 from .errors import (BudgetExceeded, ChromonError, FormatError,
@@ -22,22 +21,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    subcommand: str
-    d: int = None
-    n_max: int = None
-    mode: str = None
-    parallelism: int = None
-    budget: int = None
-    input_path: str = None
-    output_path: str = None
-    fmt: str = "text"
-    jacket: tuple = None
 
 
 def _default_budget():
@@ -99,23 +82,6 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    if args.subcommand == "census":
-        return RunConfig(
-            subcommand="census", d=args.dim, n_max=args.order_max,
-            mode=args.mode, parallelism=args.threads,
-            budget=args.budget if args.budget is not None else _default_budget(),
-            output_path=args.out, fmt="csv")
-    if args.subcommand == "analyze":
-        return RunConfig(subcommand="analyze", input_path=args.file,
-                         fmt="json" if args.json else "text")
-    if args.subcommand == "subdivide":
-        return RunConfig(subcommand="subdivide", input_path=args.file,
-                         output_path=args.out)
-    return RunConfig(subcommand="decompose", input_path=args.file,
-                     jacket=_parse_cycle(args.jacket))
-
-
 def _parse_cycle(text):
     try:
         cycle = tuple(int(v) for v in text.split(","))
@@ -134,43 +100,43 @@ def _read(path):
         raise FormatError("cannot read %s: %s" % (path, exc.strerror)) from None
 
 
-def _cmd_census(config):
-    tables = census.run_census(config.d, config.n_max, config.mode,
-                               parallelism=config.parallelism,
-                               budget=config.budget)
-    paths = census.write_tables(tables, config.output_path)
+def _cmd_census(args):
+    budget = args.budget if args.budget is not None else _default_budget()
+    tables = census.run_census(args.dim, args.order_max, args.mode,
+                               parallelism=args.threads, budget=budget)
+    paths = census.write_tables(tables, args.out)
     for path in paths:
         print(path)
     return EXIT_OK
 
 
-def _cmd_analyze(config):
-    graph = parse_graph(_read(config.input_path))
+def _cmd_analyze(args):
+    graph = parse_graph(_read(args.file))
     if not is_connected(graph):
         sys.stdout.write(analysis.render_faces_only(graph))
         print("graph is disconnected; jackets and homology need one component",
               file=sys.stderr)
         return EXIT_INPUT
     result = analysis.analyze_graph(graph)
-    if config.fmt == "json":
+    if args.json:
         print(json.dumps(analysis.render_json(result), indent=2, sort_keys=True))
     else:
         sys.stdout.write(analysis.render_text(result))
     return EXIT_OK
 
 
-def _cmd_subdivide(config):
-    complex_ = subdivision.parse_complex(_read(config.input_path))
+def _cmd_subdivide(args):
+    complex_ = subdivision.parse_complex(_read(args.file))
     graph = subdivision.barycentric_colorize(complex_)
-    with open(config.output_path, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write(format_graph(graph))
-    print(config.output_path)
+    print(args.out)
     return EXIT_OK
 
 
-def _cmd_decompose(config):
-    graph = parse_graph(_read(config.input_path))
-    cycle = canonical_cycle(config.jacket)
+def _cmd_decompose(args):
+    cycle = canonical_cycle(_parse_cycle(args.jacket))
+    graph = parse_graph(_read(args.file))
     if sorted(cycle) != list(range(graph.d + 1)):
         raise FormatError("jacket cycle must use the colors 0..%d" % graph.d)
     faces = enumerate_faces(graph)
@@ -190,14 +156,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.subcommand == "census":
-            return _cmd_census(config)
-        if config.subcommand == "analyze":
-            return _cmd_analyze(config)
-        if config.subcommand == "subdivide":
-            return _cmd_subdivide(config)
-        return _cmd_decompose(config)
+        if args.subcommand == "census":
+            return _cmd_census(args)
+        if args.subcommand == "analyze":
+            return _cmd_analyze(args)
+        if args.subcommand == "subdivide":
+            return _cmd_subdivide(args)
+        return _cmd_decompose(args)
     except InvariantViolation as exc:
         out_dir = args.out if getattr(args, "out", None) else "."
         os.makedirs(out_dir, exist_ok=True)

@@ -4,6 +4,10 @@ The face incidence matrix has one row per face and one column per edge.
 Traversing every edge black to white, a face of colors {i, j} runs its
 color-i edges forward and its color-j edges backward, so its row holds +1
 in the columns of its color-i edges and -1 in those of its color-j edges.
+Rows are kept sparse, as mappings {column: +-1} in the format intmat
+eliminates: a face through b black vertices has 2b entries and every edge
+lies in d faces, so the matrix holds d|E| entries, however many faces and
+edges there are.
 
 Gauge fixing: the columns of a spanning tree are linearly dependent on the
 rest, so dropping them leaves the rank unchanged.  The reduced matrix has
@@ -22,25 +26,61 @@ from .perms import inverse
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Face rows by edge columns; column c*p + k is the edge (c, k)."""
+    """Face rows by edge columns; column c*p + k is the edge (c, k).
+
+    entries holds one sparse row {column: +-1} per face, in face order;
+    edge_columns names the edge of every column.
+    """
 
     entries: tuple
     edge_columns: tuple
 
 
+def face_row(i, j, blacks, p):
+    """Sparse row of the face of colors {i, j} through the given black
+    vertices: +1 on its color-i edges, -1 on its color-j edges."""
+    ci = i * p
+    cj = j * p
+    row = {}
+    for k in blacks:
+        row[ci + k] = 1
+        row[cj + k] = -1
+    return row
+
+
+def column_map(edge_columns, tree):
+    """Old column -> new column once the tree edges are dropped, keeping
+    edge order; -1 marks a dropped column."""
+    tree_set = set(tree)
+    new = []
+    kept = 0
+    for e in edge_columns:
+        if e in tree_set:
+            new.append(-1)
+        else:
+            new.append(kept)
+            kept += 1
+    return new
+
+
+def drop_columns(rows, new_index):
+    """Rows renumbered by a column_map, without the dropped columns."""
+    out = []
+    for row in rows:
+        kept = {}
+        for j, v in row.items():
+            c = new_index[j]
+            if c >= 0:
+                kept[c] = v
+        out.append(kept)
+    return tuple(out)
+
+
 def incidence_matrix(graph, faces):
     p = graph.p
-    cols = (graph.d + 1) * p
-    rows = []
-    for face in faces.faces:
-        i, j = face.colors
-        row = [0] * cols
-        for k in face.blacks:
-            row[i * p + k] = 1
-            row[j * p + k] = -1
-        rows.append(tuple(row))
+    rows = tuple(face_row(*face.colors, face.blacks, p) for face in faces.faces)
     edge_columns = tuple((c, k) for c in range(graph.d + 1) for k in range(p))
-    return IncidenceMatrix(tuple(rows), edge_columns)
+    return IncidenceMatrix(rows, edge_columns)
 
 
 def spanning_tree(graph, color_order=None):
@@ -81,7 +121,8 @@ def spanning_tree(graph, color_order=None):
 
 @dataclass(frozen=True)
 class HomologyReport:
-    """Exact rank and integer normal form data of the reduced matrix."""
+    """Exact rank and integer normal form data of the reduced matrix,
+    whose sparse rows are kept in reduced_matrix."""
 
     spanning_tree: tuple
     reduced_matrix: tuple
@@ -92,11 +133,11 @@ class HomologyReport:
 
 
 def reduce_columns(matrix, tree):
-    """Drop the spanning-tree columns, keeping edge order."""
-    tree_set = set(tree)
-    keep = [i for i, e in enumerate(matrix.edge_columns) if e not in tree_set]
-    rows = tuple(tuple(row[i] for i in keep) for row in matrix.entries)
-    return rows, tuple(matrix.edge_columns[i] for i in keep)
+    """Drop the spanning-tree columns, keeping edge order; returns the
+    renumbered sparse rows and the edges of the kept columns."""
+    new_index = column_map(matrix.edge_columns, tree)
+    kept = tuple(e for e, c in zip(matrix.edge_columns, new_index) if c >= 0)
+    return drop_columns(matrix.entries, new_index), kept
 
 
 def homology_report(graph, matrix=None, tree=None):

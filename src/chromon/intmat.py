@@ -1,45 +1,52 @@
 """Exact integer matrix routines: rank over Q and invariant factors over Z.
 
-Both come from one elimination over Z.  The rows are read into sparse
-form, then reduced by unit pivots: take the shortest live row that holds
-a +-1 entry, pivot on that entry, clear its column from every other row
-by subtracting an integer multiple of the pivot row, and drop the pivot
-row and column.  Row operations are unimodular, and once the column is
-clear the pivot row can be cleared by column operations that touch no
-other row, so every unit pivot is one invariant factor equal to 1.  Face
-incidence rows after the spanning-tree gauge are sparse with entries
-+-1, so nearly every pivot is a unit (the sparse reduction of Dumas,
-Saunders and Villard, J. Symbolic Comput. 32 (2001); Kaczynski,
-Mischaikow and Mrozek, Computational Homology (2004)).
+A matrix is a sequence of sparse rows, each a mapping from column index
+to a nonzero integer; a column that no row mentions is a zero column and
+an empty mapping is a zero row.  A face incidence matrix therefore costs
+memory in proportion to its nonzeros, not to faces times edges.  The
+rows passed in are never modified: the elimination works on copies, so
+the same rows can be handed to rank and then to invariant_factors.
 
-When no unit entry is left, the leftover rows form a small dense block
-that is diagonalized with Euclidean pivots: row and column operations
-that re-select a minimum-magnitude pivot before every clearing pass and
-round quotients to the nearest integer, which keeps intermediate entries
-from the runaway growth that floor division with a fixed pivot produces
-on dense matrices.  The rank is the number of nonzero diagonal entries;
-the invariant factors are that diagonal after the pairwise gcd/lcm fix-up
-that sorts prime exponents into a divisibility chain.
+Both come from one elimination over Z.  The rows are copied, then reduced
+by unit pivots: take the shortest live row that holds a +-1 entry, pivot
+on that entry, clear its column from every other row by subtracting an
+integer multiple of the pivot row, and drop the pivot row and column.
+Row operations are unimodular, and once the column is clear the pivot
+row can be cleared by column operations that touch no other row, so
+every unit pivot is one invariant factor equal to 1.  Face incidence rows
+after the spanning-tree gauge are sparse with entries +-1, so nearly
+every pivot is a unit (the sparse reduction of Dumas, Saunders and
+Villard, J. Symbolic Comput. 32 (2001); Kaczynski, Mischaikow and Mrozek,
+Computational Homology (2004)).
+
+When no unit entry is left, the leftover rows form a small block, the
+only dense matrix made here, that is diagonalized with Euclidean pivots:
+row and column operations that re-select a minimum-magnitude pivot
+before every clearing pass and round quotients to the nearest integer,
+which keeps intermediate entries from the runaway growth that floor
+division with a fixed pivot produces on dense matrices.  The rank is the
+number of nonzero diagonal entries; the invariant factors are that
+diagonal after the pairwise gcd/lcm fix-up that sorts prime exponents
+into a divisibility chain.
 """
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 
 
 def rank(matrix):
-    """Exact rank of an integer matrix over the rationals.
-
-    matrix is a sequence of equal-length rows of integers.
-    """
+    """Exact rank over the rationals of a sequence of sparse rows, each a
+    mapping {column: nonzero integer}.  The rows are left unchanged."""
     return len(_diagonal(matrix))
 
 
 def invariant_factors(matrix):
     """Nonzero diagonal of the integer normal form, as a divisibility chain.
 
-    Returns a tuple (f_1, ..., f_r) with f_i > 0, f_i dividing f_{i+1} and
-    r the rank of the matrix.
+    matrix is a sequence of sparse rows, as for rank, and is left
+    unchanged.  Returns a tuple (f_1, ..., f_r) with f_i > 0, f_i dividing
+    f_{i+1} and r the rank of the matrix.
     """
     diag = _diagonal(matrix)
     changed = True
@@ -71,19 +78,18 @@ def _diagonal(matrix):
 def _unit_pivots(matrix):
     """Take every +-1 pivot; returns (their count, dense leftover rows).
 
-    rows[i] maps column to nonzero entry, and col_rows[j] lists every row
-    that has held an entry in column j; a listed row that has since lost
-    it, or was itself a pivot row, is skipped.  The heap holds (length,
-    row) pairs and key[i] is the length in the pair that is current for
-    row i, so any other pair of that row is stale.  A row that shrinks is
-    pushed again at once and a row that grew when its old pair comes up,
-    so a pair popped with the row's true length names the shortest live
-    row.  A row without a unit entry is parked (key -1) until a pivot
-    changes it.
+    rows[i] is a copy of the caller's row i, mapping column to nonzero
+    entry, and col_rows[j] lists every row that has held an entry in
+    column j; a listed row that has since lost it, or was itself a pivot
+    row, is skipped.  The heap holds (length, row) pairs and key[i] is the
+    length in the pair that is current for row i, so any other pair of
+    that row is stale.  A row that shrinks is pushed again at once and a
+    row that grew when its old pair comes up, so a pair popped with the
+    row's true length names the shortest live row.  A row without a unit
+    entry is parked (key -1) until a pivot changes it.
     """
-    columns = range(len(matrix[0]) if len(matrix) else 0)
-    rows = [{j: row[j] for j in compress(columns, row)} for row in matrix]
-    col_rows = [[] for _ in columns]
+    rows = [dict(row) for row in matrix]
+    col_rows = defaultdict(list)
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].append(i)

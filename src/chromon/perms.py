@@ -2,7 +2,6 @@
 
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 
 
 def identity(p):
@@ -108,7 +107,3 @@ def conjugacy_class_reps(p):
 def centralizer(a):
     """All t in S_p with t a t^-1 == a, in lexicographic order."""
     return tuple(t for t in all_perms(len(a)) if conjugate(t, a) == a)
-
-
-def is_full_symmetric(group, p):
-    return len(group) == factorial(p)

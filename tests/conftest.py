@@ -70,6 +70,22 @@ def fraction_rank(rows):
     return rank
 
 
+def sparse_rows(rows):
+    """Dense rows as sparse rows {column: nonzero entry}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def dense_rows(rows, width):
+    """Sparse rows {column: entry} as dense lists of the given width."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, v in row.items():
+            dense[j] = v
+        out.append(dense)
+    return out
+
+
 def minor_gcd_factors(rows):
     """Invariant factors from determinantal divisors, for tiny matrices.
 
@@ -208,6 +224,22 @@ PROJECTIVE_PLANE_TRIANGLES = (
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
     (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6),
 )
+
+
+def cyclic_polytope_facets(v):
+    """Facets of the cyclic 4-polytope on v vertices, by Gale's evenness rule.
+
+    A 4-subset S of 0..v-1 is a facet exactly when every two consecutive
+    vertices outside S are separated by an even number of members of S.
+    The boundary is a simplicial 3-sphere with v(v-3)/2 tetrahedra.
+    """
+    facets = []
+    for subset in combinations(range(v), 4):
+        outside = [u for u in range(v) if u not in subset]
+        if all(sum(1 for s in subset if a < s < b) % 2 == 0
+               for a, b in zip(outside, outside[1:])):
+            facets.append(subset)
+    return facets
 
 
 def euler_characteristic(triangles):

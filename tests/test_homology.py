@@ -1,11 +1,16 @@
+import time
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from conftest import fraction_rank, sympy_invariant_factors
+from conftest import (cyclic_polytope_facets, dense_rows, fraction_rank,
+                      sympy_invariant_factors)
 from chromon.errors import Disconnected
 from chromon.graphs import build_graph, enumerate_faces, is_connected
 from chromon.homology import (homology_report, incidence_matrix, reduce_columns,
                               spanning_tree)
+from chromon.subdivision import barycentric_colorize, build_complex
 
 
 def dipole(d):
@@ -26,9 +31,10 @@ def test_dipole_incidence_matrix():
     g = dipole(3)
     m = incidence_matrix(g, enumerate_faces(g))
     assert len(m.entries) == 6
-    assert all(len(row) == 4 for row in m.entries)
+    dense = dense_rows(m.entries, len(m.edge_columns))
+    assert all(len(row) == 4 for row in dense)
     # the face of pair {i, j} holds +1 in column i and -1 in column j
-    rows = sorted(m.entries, key=lambda row: (row.index(1), row.index(-1)))
+    rows = sorted(dense, key=lambda row: (row.index(1), row.index(-1)))
     pairs = [(row.index(1), row.index(-1)) for row in rows]
     assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -37,7 +43,7 @@ def test_dipole_report():
     g = dipole(3)
     hom = homology_report(g)
     assert hom.spanning_tree == ((0, 0),)
-    assert len(hom.reduced_matrix[0]) == 3
+    assert {j for row in hom.reduced_matrix for j in row} == {0, 1, 2}
     assert hom.rank == 3 == g.nullity
     assert hom.invariant_factors == (1, 1, 1)
     assert hom.h1_rational_trivial
@@ -48,7 +54,8 @@ def test_swap_graph_report():
     g = build_graph(3, 4, [[0, 1], [1, 0], [1, 0], [1, 0]])
     m = incidence_matrix(g, enumerate_faces(g))
     assert len(m.entries) == 9
-    assert all(len(row) == 8 for row in m.entries)
+    assert len(m.edge_columns) == 8
+    assert all(0 <= j < 8 for row in m.entries for j in row)
     hom = homology_report(g, m)
     assert len(hom.spanning_tree) == 3
     assert hom.rank == 5 == g.nullity
@@ -64,7 +71,8 @@ def test_first_torsion_graph():
     assert hom.invariant_factors == (1, 1, 1, 1, 1, 1, 1, 1, 2)
     assert hom.h1_rational_trivial
     assert not hom.h1_integral_trivial
-    assert sympy_invariant_factors(hom.reduced_matrix) == hom.invariant_factors
+    assert sympy_invariant_factors(dense_rows(hom.reduced_matrix, g.nullity)) == (
+        hom.invariant_factors)
 
 
 def test_spanning_tree_needs_connectivity():
@@ -93,11 +101,17 @@ def test_incidence_shape_properties(g):
     m = incidence_matrix(g, faces)
     assert len(m.entries) == faces.total
     for row, face in zip(m.entries, faces.faces):
-        assert sum(row) == 0
-        assert sum(1 for v in row if v) == face.length
-    cols = list(zip(*m.entries))
+        assert sum(row.values()) == 0
+        assert sorted(set(row.values())) == [-1, 1]
+        assert len(row) == face.length
+    cols = list(zip(*dense_rows(m.entries, len(m.edge_columns))))
     for col in cols:
         assert sum(1 for v in col if v) == g.d
+    # every edge lies in exactly d faces, so storage is linear in the edges
+    assert sum(len(row) for row in m.entries) == g.d * g.edge_count
+    reduced, kept = reduce_columns(m, spanning_tree(g))
+    assert sum(len(row) for row in reduced) == g.d * g.nullity == g.d * len(kept)
+    assert set(Counter(j for row in reduced for j in row).values()) == {g.d}
 
 
 @given(connected_graph_st())
@@ -107,7 +121,8 @@ def test_rank_matches_oracle_and_gauge(g):
     m = incidence_matrix(g, faces)
     hom = homology_report(g, m)
     reduced, kept = reduce_columns(m, hom.spanning_tree)
-    assert hom.rank == fraction_rank(reduced) == fraction_rank(m.entries)
+    assert hom.rank == fraction_rank(dense_rows(reduced, len(kept))) == fraction_rank(
+        dense_rows(m.entries, len(m.edge_columns)))
     assert hom.rank <= min(g.nullity, faces.total)
     assert len(kept) == g.nullity
     if hom.h1_integral_trivial:
@@ -132,7 +147,24 @@ def test_alternate_tree_same_verdicts(g):
 @settings(max_examples=30, deadline=None)
 def test_invariant_factors_match_sympy(g):
     hom = homology_report(g)
-    assert sympy_invariant_factors(hom.reduced_matrix) == hom.invariant_factors
+    assert sympy_invariant_factors(dense_rows(hom.reduced_matrix, g.nullity)) == (
+        hom.invariant_factors)
     assert len(hom.invariant_factors) == hom.rank
     for a, b in zip(hom.invariant_factors, hom.invariant_factors[1:]):
         assert b % a == 0
+
+
+def test_mesh_scale_sphere():
+    # the barycentric subdivision of the cyclic 4-polytope on 20 vertices:
+    # 170 tetrahedra give n = 24 * 170 = 4080, and the matrix is eliminated
+    # in memory proportional to its d|E| = 24480 nonzero entries
+    start = time.perf_counter()
+    g = barycentric_colorize(build_complex(3, cyclic_polytope_facets(20)))
+    faces = enumerate_faces(g)
+    hom = homology_report(g, incidence_matrix(g, faces))
+    elapsed = time.perf_counter() - start
+    assert g.n == 4080
+    assert faces.total == 4800
+    assert hom.rank == g.nullity == 4081
+    assert hom.h1_integral_trivial
+    assert elapsed < 5.0, elapsed

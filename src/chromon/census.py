@@ -18,6 +18,12 @@ the orbit.  Orbit-stabilizer makes the labeled weights exact, so the
 tables equal what a full per-tuple sweep would produce, at roughly the
 number-of-classes cost instead of (p!)^d.
 
+Each connected representative is analyzed from the same per-graph pieces
+that analysis.analyze_graph uses (graphs.pair_cycles, jackets and
+homology), so the two paths share every check.  A failed check raises
+InvariantViolation carrying the graph, which the CLI turns into exit code
+2 and a counterexample file.
+
 Parallel runs split the orbit walk into (sigma[1], sigma[2]) blocks and
 merge the per-block tables in a fixed order, so every worker count yields
 identical tables.
@@ -30,14 +36,17 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from . import intmat
 from .errors import (BadDimension, BadOrder, BudgetExceeded, InternalMismatch,
                      InvariantViolation)
-from .graphs import (MAX_DIMENSION, MIN_DIMENSION, ColoredGraph, format_graph)
-from .homology import column_map, drop_columns, face_row, spanning_tree
-from .jackets import adjacent_pairs, color_cycles, max_genus
+from .graphs import (MAX_DIMENSION, MIN_DIMENSION, ColoredGraph, format_graph,
+                     pair_cycles)
+from .homology import (checked_invariant_factors, column_map, drop_columns,
+                       face_row, gauge_checked_rank, spanning_tree)
+from .jackets import (checked_degree, jackets_from_counts, min_genus_bound,
+                      trivial_homology_degree_bound)
+# cycles is not called here; perfbench's tests look up census.cycles.
 from .perms import (all_perms, centralizer, conjugacy_class_reps, conjugate,
-                    cycles, identity, inverse)
+                    cycles, identity)
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -195,116 +204,48 @@ class CensusTable:
 
 
 class _OrderAnalyzer:
-    """Per-(d, n) precomputation plus the per-class analysis loop.
+    """The per-class analysis of one order: a composition of the per-graph
+    pieces that analyze_graph uses too.
 
     analyze() returns (degree, min_genus, h1q, h1z) for a connected class
-    and None for a disconnected one, running the inline consistency checks
-    (degree identity both ways, jacket genus bounds, rank gauge equality,
-    and the two homology-trivial bounds) on everything it touches.
+    and None for a disconnected one.  Every check it reaches (jacket genus
+    range, the degree identity both ways, the gauge rank equality, the
+    invariant-factor count, and the two homology-trivial bounds) raises
+    InternalMismatch, which it turns into an InvariantViolation carrying
+    the class as a graph file.
     """
 
     def __init__(self, d, n):
         self.d = d
         self.n = n
-        self.p = p = n // 2
-        self.idp = identity(p)
-        self.pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-        pair_pos = {pair: t for t, pair in enumerate(self.pairs)}
-        self.jacket_pairs = [
-            tuple(pair_pos[pair] for pair in adjacent_pairs(cyc))
-            for cyc in color_cycles(d)
-        ]
-        self.gmax = max_genus(d, n)
-        self.nullity = 1 + (d - 1) * n // 2
-        self.fact_dm1 = factorial(d - 1)
-        self.genus_base = 4 + (d - 1) * n
-        # 8 * degree == fact_dm1 * (4d + d(d-1)n - 4F)
-        self.degree_base = self.fact_dm1 * (4 * d + d * (d - 1) * n)
-        # homology-trivial bounds cleared of denominators:
-        # min_genus * 4d <= (d-1)(4 + (d-2)n) and
-        # degree * 8 <= (d-1)! (4(d-1) + (d-1)(d-2)n)
-        self.lemma2_rhs = (d - 1) * (4 + (d - 2) * n)
-        self.eq8_rhs = self.fact_dm1 * (4 * (d - 1) + (d - 1) * (d - 2) * n)
-        self.edge_ids = [(c, k) for c in range(d + 1) for k in range(p)]
-
-    def _violation(self, message, sigma):
-        graph = ColoredGraph(self.d, self.n, sigma)
-        raise InvariantViolation(message, format_graph(graph))
+        self.p = n // 2
+        self.idp = identity(self.p)
 
     def analyze(self, rest):
         d, n, p = self.d, self.n, self.p
         if not _transitive(rest, p):
             return None
-        sigma = (self.idp,) + rest
-        inv = [self.idp] + [inverse(sig) for sig in rest]
-        pair_counts = []
-        face_cycles = []
-        for i, j in self.pairs:
-            si = sigma[i]
-            ij = inv[j]
-            perm = tuple(ij[si[k]] for k in range(p))
-            cycs = cycles(perm)
-            pair_counts.append(len(cycs))
-            face_cycles.append(cycs)
-        total_faces = sum(pair_counts)
-
-        genera = []
-        fj_sum = 0
-        for jp in self.jacket_pairs:
-            fj = 0
-            for t in jp:
-                fj += pair_counts[t]
-            fj_sum += fj
-            num = self.genus_base - 2 * fj
-            if num < 0 or num % 4:
-                self._violation("jacket face count %d gives no valid genus" % fj, sigma)
-            g = num // 4
-            if g > self.gmax:
-                self._violation("jacket genus %d above the order bound %d"
-                                % (g, self.gmax), sigma)
-            genera.append(g)
-        omega = sum(genera)
-        min_g = min(genera)
-        if fj_sum != self.fact_dm1 * total_faces:
-            self._violation("jacket face total %d is not (d-1)! |F|" % fj_sum, sigma)
-        closed8 = self.degree_base - self.fact_dm1 * 4 * total_faces
-        if closed8 != 8 * omega:
-            self._violation("degree %d disagrees with its closed form" % omega, sigma)
-
-        graph = ColoredGraph(d, n, sigma)
-        full = [face_row(i, j, cyc, p)
-                for (i, j), cycs in zip(self.pairs, face_cycles) for cyc in cycs]
-        new_index = column_map(self.edge_ids, spanning_tree(graph))
-        reduced = drop_columns(full, new_index)
-        rank_full = intmat.rank(full)
-        rank_reduced = intmat.rank(reduced)
-        if rank_full != rank_reduced:
-            self._violation("full rank %d but reduced rank %d"
-                            % (rank_full, rank_reduced), sigma)
-        h1q = rank_reduced == self.nullity
-        h1z = False
-        if h1q:
-            factors = intmat.invariant_factors(reduced)
-            if len(factors) != rank_reduced:
-                self._violation("rank %d with %d invariant factors"
-                                % (rank_reduced, len(factors)), sigma)
-            h1z = all(f == 1 for f in factors)
-            if 4 * d * min_g > self.lemma2_rhs:
-                self._violation("homology-trivial graph breaks the min-genus bound", sigma)
-            if 8 * omega > self.eq8_rhs:
-                self._violation("homology-trivial graph breaks the degree bound", sigma)
+        graph = ColoredGraph(d, n, (self.idp,) + rest)
+        try:
+            faces = pair_cycles(graph.sigma)
+            counts = [len(cycs) for _, cycs in faces]
+            omega, min_g = checked_degree(d, n, jackets_from_counts(d, n, counts),
+                                          sum(counts))
+            full = [face_row(i, j, cyc, p) for (i, j), cycs in faces for cyc in cycs]
+            reduced = drop_columns(full, column_map(graph.edges(), spanning_tree(graph)))
+            rank = gauge_checked_rank(full, reduced)
+            h1q = rank == graph.nullity
+            h1z = False
+            if h1q:
+                factors = checked_invariant_factors(reduced, rank)
+                h1z = all(f == 1 for f in factors)
+                if min_g > min_genus_bound(d, n):
+                    raise InternalMismatch("homology-trivial graph breaks the min-genus bound")
+                if omega > trivial_homology_degree_bound(d, n):
+                    raise InternalMismatch("homology-trivial graph breaks the degree bound")
+        except InternalMismatch as exc:
+            raise InvariantViolation(str(exc), format_graph(graph)) from exc
         return (omega, min_g, h1q, h1z)
-
-
-_ANALYZERS = {}
-
-
-def _analyzer(d, n):
-    key = (d, n)
-    got = _ANALYZERS.get(key)
-    if got is None:
-        got = _ANALYZERS[key] = _OrderAnalyzer(d, n)
-    return got
 
 
 def _process_block(payload):
@@ -312,7 +253,7 @@ def _process_block(payload):
     receive it."""
     d, n, mode, prefix, stab = payload
     p = n // 2
-    analyzer = _analyzer(d, n)
+    analyzer = _OrderAnalyzer(d, n)
     table = CensusTable(d, n, mode)
     order = factorial(p)
     labeled = mode == "labeled"

@@ -10,9 +10,9 @@ planar jacket the crossing set is empty.
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import Disconnected, InternalMismatch
-from .graphs import enumerate_faces, is_connected
-from .jackets import Jacket, adjacent_pairs, jacket_genus
+from .errors import InternalMismatch
+from .graphs import enumerate_faces, pair_cycles
+from .jackets import adjacent_pairs, enumerate_jackets, jackets_from_counts
 from .homology import spanning_tree
 
 
@@ -96,19 +96,18 @@ def count_by_genus(d, n, budget=None):
     cycle (0, 1, ..., d), over every connected labeled graph of order n."""
     from .census import enumerate_connected
 
-    cycle = tuple(range(d + 1))
-    pairs = adjacent_pairs(cycle)
     hist = Counter()
     for graph in enumerate_connected(d, n, mode="labeled", budget=budget):
-        faces = enumerate_faces(graph)
-        fj = sum(faces.count_by_pair[pair] for pair in pairs)
-        hist[jacket_genus(d, n, fj)] += 1
+        counts = [len(cycs) for _, cycs in pair_cycles(graph.sigma)]
+        _, _, genus = jackets_from_counts(d, n, counts)[0]
+        hist[genus] += 1
     return dict(hist)
 
 
 def jacket_for_cycle(graph, faces, cycle):
-    """Build the Jacket record for one canonical color cycle."""
-    if not is_connected(graph):
-        raise Disconnected("jacket decomposition needs a connected graph")
-    fj = sum(faces.count_by_pair[pair] for pair in adjacent_pairs(cycle))
-    return Jacket(cycle, fj, jacket_genus(graph.d, graph.n, fj))
+    """The Jacket record of one canonical color cycle."""
+    for jacket in enumerate_jackets(graph, faces):
+        if jacket.cycle == cycle:
+            return jacket
+    raise ValueError("%r is not a canonical color cycle of dimension %d"
+                     % (cycle, graph.d))

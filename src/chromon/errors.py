@@ -25,7 +25,7 @@ class InternalMismatch(ChromonError):
     """Two computations that must agree disagreed.  Always a bug."""
 
 
-class GaugeRankMismatch(ChromonError):
+class GaugeRankMismatch(InternalMismatch):
     """Full and tree-reduced incidence matrices have different ranks.  A bug."""
 
 

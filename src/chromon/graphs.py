@@ -13,9 +13,10 @@ length m passes through m black and m white vertices and has 2m edges.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import BadDimension, BadOrder, FormatError, NonBijective
-from .perms import compose, inverse, cycles
+from .perms import cycles, inverse
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8
@@ -52,9 +53,12 @@ class ColoredGraph:
 
     def edges(self):
         """Edge ids (color, black endpoint) in lexicographic order."""
-        for c in range(self.d + 1):
-            for k in range(self.p):
-                yield (c, k)
+        return _edge_ids(self.d, self.p)
+
+
+@lru_cache(maxsize=None)
+def _edge_ids(d, p):
+    return tuple((c, k) for c in range(d + 1) for k in range(p))
 
 
 def build_graph(d, n, images):
@@ -116,12 +120,26 @@ class Face:
 class FaceCensus:
     """All faces of a graph, grouped per color pair.
 
-    Immutable by convention once built; safe to share across threads.
+    count_by_pair maps each pair (i, j) to its face count, with the pairs
+    in lexicographic order.  Immutable by convention once built; safe to
+    share across threads.
     """
 
     faces: tuple
     count_by_pair: dict = field(repr=False)
     total: int
+
+
+def pair_cycles(sigma):
+    """Faces of every color pair (i, j), i < j, in lexicographic order: a
+    list of ((i, j), the cycles of sigma[j]^-1 sigma[i] on black indices).
+    No pair has j = 0, so the inverse of color 0 is never needed."""
+    inv = [None] + [inverse(sig) for sig in sigma[1:]]
+    out = []
+    for i, si in enumerate(sigma):
+        for j in range(i + 1, len(sigma)):
+            out.append(((i, j), cycles(list(map(inv[j].__getitem__, si)))))
+    return out
 
 
 def enumerate_faces(graph):
@@ -130,19 +148,14 @@ def enumerate_faces(graph):
     For the pair (i, j) with i < j the faces are the cycles of
     sigma[j]^-1 sigma[i] on black indices; the cycle lengths of that
     permutation sum to p for every pair, and the total face count over all
-    d(d+1)/2 pairs is |F|.
+    d(d+1)/2 pairs is |F|.  Faces and count_by_pair both follow the
+    lexicographic pair order of pair_cycles.
     """
-    sigma = graph.sigma
     faces = []
     count_by_pair = {}
-    for j in range(1, graph.d + 1):
-        inv_j = inverse(sigma[j])
-        for i in range(j):
-            perm = compose(inv_j, sigma[i])
-            pair_faces = [Face((i, j), cyc) for cyc in cycles(perm)]
-            faces.extend(pair_faces)
-            count_by_pair[(i, j)] = len(pair_faces)
-    faces.sort(key=lambda f: f.colors)
+    for pair, cycs in pair_cycles(graph.sigma):
+        faces.extend(Face(pair, cyc) for cyc in cycs)
+        count_by_pair[pair] = len(cycs)
     return FaceCensus(tuple(faces), count_by_pair, len(faces))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import Disconnected, GaugeRankMismatch, InternalMismatch
+from .graphs import enumerate_faces
 from .perms import inverse
 
 
@@ -79,8 +80,7 @@ def drop_columns(rows, new_index):
 def incidence_matrix(graph, faces):
     p = graph.p
     rows = tuple(face_row(*face.colors, face.blacks, p) for face in faces.faces)
-    edge_columns = tuple((c, k) for c in range(graph.d + 1) for k in range(p))
-    return IncidenceMatrix(rows, edge_columns)
+    return IncidenceMatrix(rows, graph.edges())
 
 
 def spanning_tree(graph, color_order=None):
@@ -140,39 +140,50 @@ def reduce_columns(matrix, tree):
     return drop_columns(matrix.entries, new_index), kept
 
 
+def gauge_checked_rank(full, reduced):
+    """Exact rank of the full and of the tree-reduced rows; the two must
+    agree, or the gauge argument is broken and GaugeRankMismatch is
+    raised."""
+    rank_full = intmat.rank(full)
+    rank_reduced = intmat.rank(reduced)
+    if rank_full != rank_reduced:
+        raise GaugeRankMismatch("full rank %d vs reduced rank %d"
+                                % (rank_full, rank_reduced))
+    return rank_reduced
+
+
+def checked_invariant_factors(reduced, rank):
+    """Invariant factors of the reduced rows, whose count must equal their
+    rank; InternalMismatch otherwise."""
+    factors = intmat.invariant_factors(reduced)
+    if len(factors) != rank:
+        raise InternalMismatch("rank %d but %d invariant factors"
+                               % (rank, len(factors)))
+    return factors
+
+
 def homology_report(graph, matrix=None, tree=None):
     """Build the report for a connected graph.
 
     Both the full and the reduced matrix are eliminated for every graph,
     including one with fewer faces than |L| whose verdict over Q is
-    nontrivial on that count alone; if the two exact ranks differ the
-    gauge argument is broken and GaugeRankMismatch is raised.  The
-    invariant factors of the reduced matrix are always computed too, and
-    their count must equal its rank.
+    nontrivial on that count alone (gauge_checked_rank).  The invariant
+    factors of the reduced matrix are always computed too, and their count
+    must equal its rank (checked_invariant_factors).
     """
-    from .graphs import enumerate_faces
-
     if matrix is None:
         matrix = incidence_matrix(graph, enumerate_faces(graph))
     if tree is None:
         tree = spanning_tree(graph)
     reduced, _ = reduce_columns(matrix, tree)
-    rank_full = intmat.rank(matrix.entries)
-    rank_reduced = intmat.rank(reduced)
-    if rank_full != rank_reduced:
-        raise GaugeRankMismatch("full rank %d vs reduced rank %d"
-                                % (rank_full, rank_reduced))
-    factors = intmat.invariant_factors(reduced)
-    if len(factors) != rank_reduced:
-        raise InternalMismatch("rank %d but %d invariant factors"
-                               % (rank_reduced, len(factors)))
-    target = 1 + (graph.d - 1) * graph.n // 2
-    h1q = rank_reduced == target
+    rank = gauge_checked_rank(matrix.entries, reduced)
+    factors = checked_invariant_factors(reduced, rank)
+    h1q = rank == graph.nullity
     h1z = h1q and all(f == 1 for f in factors)
     return HomologyReport(
         spanning_tree=tree,
         reduced_matrix=reduced,
-        rank=rank_reduced,
+        rank=rank,
         invariant_factors=factors,
         h1_rational_trivial=h1q,
         h1_integral_trivial=h1z,

@@ -9,8 +9,10 @@ graph is the sum of its jacket genera.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
+from typing import NamedTuple
 
 from .errors import Disconnected, InternalMismatch
 from .graphs import is_connected
@@ -47,8 +49,7 @@ def adjacent_pairs(cycle):
     return out
 
 
-@dataclass(frozen=True)
-class Jacket:
+class Jacket(NamedTuple):
     """One jacket: canonical color cycle, kept-face count, genus."""
 
     cycle: tuple
@@ -58,11 +59,13 @@ class Jacket:
 
 def jacket_genus(d, n, face_count):
     """Genus from the Euler relation; the count |E| = n(d+1)/2 is fixed, so
-    2 - 2g = n - n(d+1)/2 + F_J, i.e. 4g = 4 + (d-1)n - 2 F_J."""
+    2 - 2g = n - n(d+1)/2 + F_J, i.e. 4g = 4 + (d-1)n - 2 F_J.  A genus
+    that is negative, fractional or above max_genus (which happens only
+    for F_J = 0) raises InternalMismatch."""
     num = 4 + (d - 1) * n - 2 * face_count
-    if num < 0 or num % 4:
+    if num < 0 or num % 4 or num // 4 > max_genus(d, n):
         raise InternalMismatch(
-            "jacket face count %d gives no non-negative integer genus at d=%d n=%d"
+            "jacket face count %d gives no integer genus in [0, max_genus] at d=%d n=%d"
             % (face_count, d, n))
     return num // 4
 
@@ -73,27 +76,65 @@ def max_genus(d, n):
     return (2 + n * (d - 1)) // 4
 
 
+@lru_cache(maxsize=None)
+def _jacket_pair_positions(d):
+    """Per canonical cycle, the positions of its adjacent pairs in the
+    lexicographic list of color pairs."""
+    position = {pair: t for t, pair in enumerate(combinations(range(d + 1), 2))}
+    return tuple((cyc, tuple(position[pair] for pair in adjacent_pairs(cyc)))
+                 for cyc in color_cycles(d))
+
+
+def jackets_from_counts(d, n, pair_counts):
+    """(cycle, F_J, genus) of every jacket, in canonical cycle order, from
+    the face counts of the color pairs listed in lexicographic order (as
+    graphs.pair_cycles yields them)."""
+    out = []
+    for cyc, positions in _jacket_pair_positions(d):
+        fj = 0
+        for t in positions:
+            fj += pair_counts[t]
+        out.append((cyc, fj, jacket_genus(d, n, fj)))
+    return out
+
+
 def enumerate_jackets(graph, faces):
     """All d!/2 jackets of a connected graph, in canonical cycle order."""
     if not is_connected(graph):
         raise Disconnected("jacket genus needs a connected graph")
-    d, n = graph.d, graph.n
-    out = []
-    for cyc in color_cycles(d):
-        fj = sum(faces.count_by_pair[pair] for pair in adjacent_pairs(cyc))
-        out.append(Jacket(cyc, fj, jacket_genus(d, n, fj)))
-    return out
+    counts = list(faces.count_by_pair.values())
+    return [Jacket(*jk) for jk in jackets_from_counts(graph.d, graph.n, counts)]
+
+
+def checked_degree(d, n, jackets, face_total):
+    """Degree (sum of the genera) and minimum genus of the (cycle, F_J,
+    genus) jackets of a graph with |F| = face_total, checked in integers:
+    the F_J must sum to (d-1)! |F|, and 8 * degree must equal
+    (d-1)! (4d + d(d-1)n - 4|F|); InternalMismatch otherwise."""
+    fact = factorial(d - 1)
+    fj_sum = 0
+    genera = []
+    for _, face_count, genus in jackets:
+        fj_sum += face_count
+        genera.append(genus)
+    total = sum(genera)
+    if fj_sum != fact * face_total:
+        raise InternalMismatch("jacket face total %d is not (d-1)! |F| = %d"
+                               % (fj_sum, fact * face_total))
+    closed8 = fact * (4 * d + d * (d - 1) * n - 4 * face_total)
+    if 8 * total != closed8:
+        raise InternalMismatch("degree mismatch: jacket sum %d vs closed form %d/8"
+                               % (total, closed8))
+    return total, min(genera)
 
 
 @dataclass(frozen=True)
 class DegreeReport:
     """Degree of a graph together with the per-jacket genera.
 
-    degree_sum adds the jacket genera; degree_closed_form evaluates
+    degree_sum adds the jacket genera; degree_closed_form is
     (d-1)! (d/2 + d(d-1)n/8 - |F|/2).  The two must agree; degree() raises
     InternalMismatch otherwise, so a stored report is always consistent.
-    min_genus_bound is the exact rational (d-1)/d (1 + (d-2)n/4) that
-    min_genus cannot exceed whenever the first homology vanishes over Q.
     """
 
     genera: tuple
@@ -106,20 +147,21 @@ class DegreeReport:
 def degree(graph, jackets, faces):
     """Compute the degree both ways and cross-check them."""
     d, n = graph.d, graph.n
-    total = sum(j.genus for j in jackets)
-    closed = factorial(d - 1) * (
-        Fraction(d, 2) + Fraction(d * (d - 1) * n, 8) - Fraction(faces.total, 2))
-    if closed.denominator != 1 or closed != total:
-        raise InternalMismatch(
-            "degree mismatch: jacket sum %d vs closed form %s" % (total, closed))
-    bound = Fraction(d - 1, d) * (1 + Fraction((d - 2) * n, 4))
+    total, min_genus = checked_degree(d, n, jackets, faces.total)
     return DegreeReport(
         genera=tuple((j.cycle, j.genus) for j in jackets),
         degree_sum=total,
-        degree_closed_form=int(closed),
-        min_genus=min(j.genus for j in jackets),
-        min_genus_bound=bound,
+        degree_closed_form=total,
+        min_genus=min_genus,
+        min_genus_bound=min_genus_bound(d, n),
     )
+
+
+@lru_cache(maxsize=None)
+def min_genus_bound(d, n):
+    """The exact rational (d-1)/d (1 + (d-2)n/4) that the minimum jacket
+    genus cannot exceed whenever the first homology vanishes over Q."""
+    return Fraction(d - 1, d) * (1 + Fraction((d - 2) * n, 4))
 
 
 def check_min_genus_bound(report, homology_trivial):
@@ -130,6 +172,7 @@ def check_min_genus_bound(report, homology_trivial):
     return report.min_genus <= report.min_genus_bound
 
 
+@lru_cache(maxsize=None)
 def trivial_homology_degree_bound(d, n):
     """Upper bound (d-1)! ((d-1)/2 + (d-1)(d-2)n/8) on the degree of a
     graph whose first homology vanishes over Q, as an exact rational."""

@@ -46,19 +46,6 @@ def cycles(a):
     return out
 
 
-def cycle_count(a):
-    seen = [False] * len(a)
-    count = 0
-    for start in range(len(a)):
-        if not seen[start]:
-            count += 1
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = a[k]
-    return count
-
-
 def cycle_type(a):
     """Cycle lengths in decreasing order."""
     return tuple(sorted((len(c) for c in cycles(a)), reverse=True))

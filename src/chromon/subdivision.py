@@ -105,7 +105,6 @@ def barycentric_colorize(complex_):
         facet = tuple(sorted(verts[i] for i in pi[:d]))
         (a, ai), (b, bi) = cofaces[facet]
         s2, missing = (b, bi) if a == s else (a, ai)
-        verts2 = simplices[s2]
         pos2 = position[s2]
         new_pi = tuple(pos2[verts[i]] for i in pi[:d]) + (missing,)
         return (s2, new_pi)

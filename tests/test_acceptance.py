@@ -1,13 +1,15 @@
 """Acceptance gate: one test per numbered criterion.
 
 Every comparison is exact (integers or Fractions); the only tolerances are
-the named runtime ceilings, which are asserted and reported.  Each test
-registers a one-line verdict that the terminal summary prints after the
-run, so a plain pytest invocation always shows one pass/fail line per
-criterion.
+the named runtime ceilings, which are asserted and reported.  Each
+criterion test registers a one-line verdict that the terminal summary
+prints after the run, so a plain pytest invocation always shows one
+pass/fail line per criterion.  One more test compares the criterion 2
+sweep, which runs analyze_graph per graph, with the census tables.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -34,12 +36,14 @@ def sweep():
     """Full analysis of every connected labeled graph in the criterion 2
     ranges.
 
-    analyze_graph raises InternalMismatch if the two degree computations
-    disagree, GaugeRankMismatch if full and reduced ranks differ, and
-    InternalMismatch again if any jacket face count yields a fractional or
-    negative genus; the loop adds the genus ceiling and the face-sharing
-    identity.  Returns per-(d, n) records of (degree, min_genus, h1q, h1z)
-    plus wall times.
+    analyze_graph raises InternalMismatch (GaugeRankMismatch is one) from
+    the same checks the census kernel runs: a jacket face count that gives
+    a negative, fractional or above-ceiling genus, jacket face counts that
+    do not sum to (d-1)! |F|, a degree that disagrees with its closed form,
+    full and reduced ranks that differ, or an invariant-factor count other
+    than the rank.  The loop re-asserts the genus ceiling and the
+    face-sharing identity on the returned records.  Returns per-(d, n)
+    records of (degree, min_genus, h1q, h1z) plus wall times.
     """
     records = {}
     elapsed = {}
@@ -94,6 +98,18 @@ def test_criterion_2_exhaustive_identity_suite(sweep):
     assert took < 10.0, "d=3 n=8 sweep took %.1f s, ceiling 10 s" % took
     record_criterion(2, "%d graphs, zero identity violations; "
                         "d=3 n=8 in %.1f s, ceiling 10 s" % (total, took))
+
+
+def test_sweep_matches_census_tables(sweep):
+    # the per-graph path and the census kernel tabulate the same numbers
+    records, _ = sweep
+    for (d, n), rows in records.items():
+        table = census_for_order(d, n)
+        assert table.total_connected == len(rows), (d, n)
+        assert table.h1q_trivial == sum(1 for row in rows if row[2]), (d, n)
+        assert table.h1z_trivial == sum(1 for row in rows if row[3]), (d, n)
+        assert table.degree_histogram == dict(Counter(row[0] for row in rows)), (d, n)
+        assert table.min_genus_histogram == dict(Counter(row[1] for row in rows)), (d, n)
 
 
 def test_criterion_3_min_genus_bound_suite(sweep):

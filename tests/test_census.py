@@ -5,11 +5,13 @@ import pytest
 
 from conftest import (brute_connected_count, burnside_connected_classes,
                       connected_tuple_counts, union_find_connected)
+from chromon import census, intmat
 from chromon.census import (CensusTable, DEFAULT_BUDGET, _OrderAnalyzer,
                             census_for_order, check_budget, enumerate_connected,
                             run_census, tuple_count, write_tables)
 from chromon.errors import (BadDimension, BadOrder, BudgetExceeded,
-                            InternalMismatch)
+                            InternalMismatch, InvariantViolation)
+from chromon.graphs import is_connected, parse_graph
 from chromon.perms import conjugate
 
 
@@ -216,6 +218,36 @@ def test_input_validation():
         census_for_order(3, 4, mode="weird")
     with pytest.raises(ValueError):
         list(enumerate_connected(3, 4, mode="weird"))
+
+
+def test_kernel_check_raises_invariant_violation(monkeypatch):
+    # a real per-graph check (factor count == rank) fails inside the kernel
+    real = intmat.invariant_factors
+    monkeypatch.setattr(intmat, "invariant_factors",
+                        lambda rows: real(rows) + (1,))
+    with pytest.raises(InvariantViolation) as serial:
+        census_for_order(3, 4)
+    assert "invariant factors" in str(serial.value)
+    graph = parse_graph(serial.value.graph_text)
+    assert (graph.d, graph.n) == (3, 4)
+    assert is_connected(graph)
+    # the same through the worker pool, which pickles the exception
+    with pytest.raises(InvariantViolation) as pooled:
+        census_for_order(3, 6, workers=2)
+    graph = parse_graph(pooled.value.graph_text)
+    assert (graph.d, graph.n) == (3, 6)
+    assert is_connected(graph)
+
+
+def test_homology_trivial_bounds_are_checked(monkeypatch):
+    # no graph breaks the bounds, so lower them to see the checks fire
+    for name, message in (("min_genus_bound", "min-genus bound"),
+                          ("trivial_homology_degree_bound", "degree bound")):
+        with monkeypatch.context() as patch:
+            patch.setattr(census, name, lambda d, n: -1)
+            with pytest.raises(InvariantViolation) as exc:
+                census_for_order(3, 4)
+        assert message in str(exc.value)
 
 
 def test_merge_rejects_mismatched_tables():

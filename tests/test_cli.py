@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from chromon import analysis, census, cli, subdivision
+from chromon import analysis, census, cli, intmat, subdivision
 from chromon.errors import InvariantViolation
-from chromon.graphs import build_graph, format_graph, parse_graph
+from chromon.graphs import build_graph, format_graph, is_connected, parse_graph
 
 
 DIPOLE_TEXT = "d=3 n=2\n0: 0\n1: 0\n2: 0\n3: 0\n"
@@ -142,6 +142,20 @@ def test_invariant_violation_writes_counterexample(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "counterexample" in err
     assert (out_dir / "counterexample.cg").read_text() == DIPOLE_TEXT
+
+
+def test_failing_kernel_check_exits_with_code_two(tmp_path, capsys, monkeypatch):
+    real = intmat.invariant_factors
+    monkeypatch.setattr(intmat, "invariant_factors",
+                        lambda rows: real(rows) + (1,))
+    out_dir = tmp_path / "broken"
+    rc = cli.main(["census", "--dim", "3", "--order-max", "4",
+                   "--out", str(out_dir)])
+    assert rc == 2
+    assert "counterexample" in capsys.readouterr().err
+    graph = parse_graph((out_dir / "counterexample.cg").read_text())
+    assert graph.d == 3 and is_connected(graph)
+    assert not (out_dir / "census.csv").exists()
 
 
 def test_subdivide_round_trip(tmp_path, capsys):

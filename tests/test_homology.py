@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (cyclic_polytope_facets, dense_rows, fraction_rank,
                       sympy_invariant_factors)
-from chromon.errors import Disconnected
+from chromon import intmat
+from chromon.errors import Disconnected, GaugeRankMismatch, InternalMismatch
 from chromon.graphs import build_graph, enumerate_faces, is_connected
-from chromon.homology import (homology_report, incidence_matrix, reduce_columns,
+from chromon.homology import (checked_invariant_factors, gauge_checked_rank,
+                              homology_report, incidence_matrix, reduce_columns,
                               spanning_tree)
 from chromon.subdivision import barycentric_colorize, build_complex
 
@@ -73,6 +75,21 @@ def test_first_torsion_graph():
     assert not hom.h1_integral_trivial
     assert sympy_invariant_factors(dense_rows(hom.reduced_matrix, g.nullity)) == (
         hom.invariant_factors)
+
+
+def test_gauge_and_factor_checks_reject_mismatches(monkeypatch):
+    full = ({0: 1, 1: -1}, {1: 1, 2: -1})
+    assert gauge_checked_rank(full, ({0: 1}, {0: -1, 1: 1})) == 2
+    with pytest.raises(GaugeRankMismatch):
+        gauge_checked_rank(full, ({0: 1}, {0: -1}))
+    assert issubclass(GaugeRankMismatch, InternalMismatch)
+    assert checked_invariant_factors(({0: 2},), 1) == (2,)
+    with pytest.raises(InternalMismatch):
+        checked_invariant_factors(({0: 2},), 2)
+    # homology_report runs the same factor-count check
+    monkeypatch.setattr(intmat, "invariant_factors", lambda rows: ())
+    with pytest.raises(InternalMismatch):
+        homology_report(dipole(3))
 
 
 def test_spanning_tree_needs_connectivity():

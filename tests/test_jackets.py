@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from chromon.errors import Disconnected, InternalMismatch
 from chromon.graphs import build_graph, enumerate_faces
-from chromon.jackets import (adjacent_pairs, canonical_cycle, check_min_genus_bound,
-                             color_cycles, degree, enumerate_jackets, jacket_genus,
-                             max_genus, trivial_homology_degree_bound)
+from chromon.jackets import (Jacket, adjacent_pairs, canonical_cycle,
+                             check_min_genus_bound, checked_degree, color_cycles,
+                             degree, enumerate_jackets, jacket_genus, max_genus,
+                             trivial_homology_degree_bound)
 
 
 def dipole(d):
@@ -126,8 +127,26 @@ def test_jacket_genus_rejects_impossible_face_counts():
         jacket_genus(3, 4, 7)
     with pytest.raises(InternalMismatch):
         jacket_genus(3, 4, 5)
+    # genus 3 is above max_genus(3, 4) = 2; only F_J = 0 gets there
+    with pytest.raises(InternalMismatch):
+        jacket_genus(3, 4, 0)
     assert jacket_genus(3, 4, 6) == 0
     assert jacket_genus(3, 4, 2) == 2
+
+
+def test_checked_degree_rejects_inconsistent_jackets():
+    # the d=3 dipole: |F| = 6, three planar jackets with F_J = 4
+    cycles = color_cycles(3)
+    assert checked_degree(3, 2, [Jacket(c, 4, 0) for c in cycles], 6) == (0, 0)
+    # jacket face counts that do not sum to (d-1)! |F|, with the genera
+    # still matching the closed form
+    with pytest.raises(InternalMismatch):
+        checked_degree(3, 2, [Jacket(cycles[0], 5, 0)]
+                       + [Jacket(c, 4, 0) for c in cycles[1:]], 6)
+    # the face total holds but the genera disagree with the closed form
+    with pytest.raises(InternalMismatch):
+        checked_degree(3, 2, [Jacket(cycles[0], 4, 1)]
+                       + [Jacket(c, 4, 0) for c in cycles[1:]], 6)
 
 
 def test_disconnected_graph_rejected():

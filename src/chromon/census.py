@@ -3,30 +3,42 @@
 The labeled universe gauge-fixes sigma[0] to the identity and lets the d
 remaining colors range over all permutations of the p = n/2 black indices,
 giving (p!)^d tuples; such a graph is connected exactly when the group
-generated by sigma[1..d] is transitive.  Relabeling the indices acts on
-tuples by simultaneous conjugation and leaves every tabulated quantity
-unchanged (connectivity, face counts per pair, jacket genera, degree,
-homology ranks and invariant factors).
+generated by sigma[1..d] is transitive.  Two actions leave every tabulated
+quantity unchanged (connectivity, the degree, which sums over all jackets,
+the minimum jacket genus, and first homology over Q and Z): relabeling the
+indices, which conjugates the tuple, and permuting the d+1 colors.  A color
+permutation pi is re-gauged so that color 0 stays the identity, mapping
+the tuple to tau_c = sigma[pi(0)]^-1 sigma[pi(c)]; it commutes with
+conjugation, so S_p x S_{d+1} acts on the universe.
 
-run_census exploits that: it walks one representative per conjugation
-orbit and, in labeled mode, weights it by its orbit size p!/|stabilizer|;
-canonical mode weights every orbit once.  Representatives are greedy
-lexicographic minima: sigma[1] least in its conjugacy class (a cycle-type
-representative), sigma[2] least under the centralizer of sigma[1], and so
-on down the stabilizer chain, which is exactly the least image tuple of
-the orbit.  Orbit-stabilizer makes the labeled weights exact, so the
-tables equal what a full per-tuple sweep would produce, at roughly the
-number-of-classes cost instead of (p!)^d.
+run_census analyzes one graph per S_p x S_{d+1} orbit.  It walks one
+representative per conjugation orbit, together with its stabilizer in S_p.
+Representatives are greedy lexicographic minima: sigma[1] least in its
+conjugacy class (a cycle-type representative), sigma[2] least under the
+centralizer of sigma[1], and so on down the stabilizer chain, which is
+exactly the least image tuple of the orbit.  Of the representatives of one
+combined orbit only the leader is analyzed: the one whose class is least
+under the color permutations, ordered first by the face-length multisets
+of the color pairs and then by breadth-first codes (isomorph rejection as
+in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The (pi, root) pairs that attain the leader's least code number its
+stabilizer Stab in S_p x S_{d+1}, and orbit-stabilizer weights it exactly:
+p!(d+1)!/|Stab| labeled tuples in labeled mode, (d+1)!/|image of Stab in
+S_{d+1}| conjugation classes in canonical mode.  The tables still count
+colors as distinguishable and equal what a full per-tuple sweep would
+produce.
 
-Each connected representative is analyzed from the same per-graph pieces
-that analysis.analyze_graph uses (graphs.pair_cycles, jackets and
-homology), so the two paths share every check.  A failed check raises
-InvariantViolation carrying the graph, which the CLI turns into exit code
-2 and a counterexample file.
+Each leader is analyzed from the same per-graph pieces that
+analysis.analyze_graph uses (graphs.pair_cycles, jackets and homology), so
+the two paths share every check; the leader test adds that the roots
+attaining the least code number the walk's stabilizer and that both
+weights divide exactly.  A failed check raises InvariantViolation carrying
+the graph, which the CLI turns into exit code 2 and a counterexample file.
 
-Parallel runs split the orbit walk into (sigma[1], sigma[2]) blocks and
-merge the per-block tables in a fixed order, so every worker count yields
-identical tables.
+The orbit walk is split into (sigma[1], sigma[2]) blocks.  run_census
+lists the blocks of every order, runs them serially or over one process
+pool, and merges the per-block tables in list order, so every worker count
+yields identical tables.
 """
 
 import os
@@ -46,7 +58,7 @@ from .jackets import (checked_degree, jackets_from_counts, min_genus_bound,
                       trivial_homology_degree_bound)
 # cycles is not called here; perfbench's tests look up census.cycles.
 from .perms import (all_perms, centralizer, conjugacy_class_reps, conjugate,
-                    cycles, identity)
+                    cycles, identity, inverse)
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -203,16 +215,77 @@ class CensusTable:
             raise InternalMismatch("inconsistent census table at n=%d" % self.n)
 
 
-class _OrderAnalyzer:
-    """The per-class analysis of one order: a composition of the per-graph
-    pieces that analyze_graph uses too.
+def _color_ties(lengths, d):
+    """Color permutations that tie the identity on the face-length invariant.
 
-    analyze() returns (degree, min_genus, h1q, h1z) for a connected class
-    and None for a disconnected one.  Every check it reaches (jacket genus
-    range, the degree identity both ways, the gauge rank equality, the
-    invariant-factor count, and the two homology-trivial bounds) raises
-    InternalMismatch, which it turns into an InvariantViolation carrying
-    the class as a graph file.
+    lengths[a][b] ranks the face-length multiset of the color pair {a, b}.
+    A color permutation pi gives the pair (i, k) the multiset of
+    {pi(i), pi(k)}, and the invariant lists the pairs ordered by their
+    larger color k, so fixing pi(k) settles the whole block of pairs
+    (i, k), i < k.  The search extends pi one color at a time: it returns
+    None as soon as some candidate makes a block smaller than the
+    identity's, drops candidates that make it larger, and otherwise
+    returns every pi (a tuple pi(0..d), the identity first) whose
+    invariant equals the identity's.
+    """
+    target = [tuple(lengths[k][:k]) for k in range(d + 1)]
+    ties = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        k = len(prefix)
+        if k > d:
+            ties.append(prefix)
+            continue
+        want = target[k]
+        tied = []
+        for c in range(d + 1):
+            if c in prefix:
+                continue
+            block = tuple(map(lengths[c].__getitem__, prefix))
+            if block < want:
+                return None
+            if block == want:
+                tied.append(c)
+        stack.extend(prefix + (c,) for c in reversed(tied))
+    return ties
+
+
+def _bfs_code(perms, root, p):
+    """Breadth-first code of a transitive tuple of permutations from a
+    root: vertices are labeled in the order a walk from the root meets
+    them, trying the permutations in order, and the code lists the label
+    of perms[c][v] for every labeled v and every c.  Two tuples have equal
+    codes from some roots exactly when a relabeling maps one to the other
+    and root to root."""
+    label = [-1] * p
+    label[root] = 0
+    order = [root]
+    code = []
+    for v in order:
+        for sig in perms:
+            w = sig[v]
+            if label[w] < 0:
+                label[w] = len(order)
+                order.append(w)
+            code.append(label[w])
+    return code
+
+
+class _OrderAnalyzer:
+    """The per-class analysis of one order: a leader test over the color
+    permutations, then a composition of the per-graph pieces that
+    analyze_graph uses too.
+
+    analyze() returns None for a disconnected class and for one that is
+    not the leader of its S_p x S_{d+1} orbit.  For a leader it returns
+    (degree, min_genus, h1q, h1z, |Stab|, |image of Stab in S_{d+1}|).
+    Every check it reaches (jacket genus range, the degree identity both
+    ways, the gauge rank equality, the invariant-factor count, the two
+    homology-trivial bounds, the root count against the walk's stabilizer
+    and the exact division of both weights) raises InternalMismatch, which
+    it turns into an InvariantViolation carrying the class as a graph
+    file.
     """
 
     def __init__(self, d, n):
@@ -221,13 +294,18 @@ class _OrderAnalyzer:
         self.p = n // 2
         self.idp = identity(self.p)
 
-    def analyze(self, rest):
+    def analyze(self, rest, stab_size):
+        """Analyze the walk's representative rest = (sigma[1..d]), whose
+        stabilizer under conjugation has stab_size elements."""
         d, n, p = self.d, self.n, self.p
         if not _transitive(rest, p):
             return None
         graph = ColoredGraph(d, n, (self.idp,) + rest)
         try:
             faces = pair_cycles(graph.sigma)
+            stabilizer = self._leader_stabilizer(graph.sigma, faces, stab_size)
+            if stabilizer is None:
+                return None
             counts = [len(cycs) for _, cycs in faces]
             omega, min_g = checked_degree(d, n, jackets_from_counts(d, n, counts),
                                           sum(counts))
@@ -245,51 +323,110 @@ class _OrderAnalyzer:
                     raise InternalMismatch("homology-trivial graph breaks the degree bound")
         except InternalMismatch as exc:
             raise InvariantViolation(str(exc), format_graph(graph)) from exc
-        return (omega, min_g, h1q, h1z)
+        return (omega, min_g, h1q, h1z) + stabilizer
+
+    def _leader_stabilizer(self, sigma, faces, stab_size):
+        """None unless the class is the least of its S_p x S_{d+1} orbit;
+        else (|Stab|, |image of Stab in S_{d+1}|).
+
+        A color permutation pi, re-gauged so that color 0 stays the
+        identity, maps the class to (tau_1..tau_d) with tau_c =
+        sigma[pi(0)]^-1 sigma[pi(c)].  Classes are ordered by the
+        face-length invariant and then by the least breadth-first code
+        over the p roots; the (pi, root) pairs that attain the least code
+        number |Stab|.
+        """
+        d, p = self.d, self.p
+        multisets = [tuple(sorted(map(len, cycs))) for _, cycs in faces]
+        rank = {ms: r for r, ms in enumerate(sorted(set(multisets)))}
+        lengths = [[0] * (d + 1) for _ in range(d + 1)]
+        for ((i, j), _), ms in zip(faces, multisets):
+            lengths[i][j] = lengths[j][i] = rank[ms]
+        ties = _color_ties(lengths, d)
+        if ties is None:
+            return None
+        rest = sigma[1:]
+        codes = [_bfs_code(rest, root, p) for root in range(p)]
+        own = min(codes)
+        stab = codes.count(own)
+        if stab != stab_size:
+            raise InternalMismatch("%d roots attain the least code but the stabilizer "
+                                   "has %d elements" % (stab, stab_size))
+        image = 1
+        regauged = {}
+        for pi in ties[1:]:
+            taus = regauged.get(pi[0])
+            if taus is None:
+                head = inverse(sigma[pi[0]]).__getitem__
+                taus = regauged[pi[0]] = [tuple(map(head, sig)) for sig in sigma]
+            perms = list(map(taus.__getitem__, pi[1:]))
+            roots = 0
+            for root in range(p):
+                code = _bfs_code(perms, root, p)
+                if code < own:
+                    return None
+                if code == own:
+                    roots += 1
+            if roots:
+                stab += roots
+                image += 1
+        if (factorial(p) * factorial(d + 1)) % stab or factorial(d + 1) % image:
+            raise InternalMismatch("stabilizer of order %d with %d color permutations "
+                                   "gives a fractional orbit weight" % (stab, image))
+        return stab, image
 
 
 def _process_block(payload):
     """One (prefix, stabilizer) block; top level so worker processes can
-    receive it."""
+    receive it.  Each leader is weighted by the number of labeled tuples,
+    or of conjugation classes, in its S_p x S_{d+1} orbit."""
     d, n, mode, prefix, stab = payload
     p = n // 2
     analyzer = _OrderAnalyzer(d, n)
     table = CensusTable(d, n, mode)
-    order = factorial(p)
+    colorings = factorial(d + 1)
+    labelings = factorial(p) * colorings
     labeled = mode == "labeled"
     for suffix, final_stab in _prefix_reps(stab, d - len(prefix), p):
-        rest = prefix + suffix
-        stats = analyzer.analyze(rest)
+        stats = analyzer.analyze(prefix + suffix, len(final_stab))
         if stats is None:
             continue
-        weight = order // len(final_stab) if labeled else 1
+        *stats, orbit_stab, image = stats
+        weight = labelings // orbit_stab if labeled else colorings // image
         table._add(*stats, weight)
     return table
 
 
-def census_for_order(d, n, mode="labeled", workers=1, budget=None):
-    """Census table for a single order."""
-    _validate_order(d, n)
-    check_budget(d, n, budget)
+def _tables(d, orders, mode, workers):
+    """Tables of the given orders.  The (sigma[1], sigma[2]) blocks of all
+    orders form one list, run serially or over one pool, and each block's
+    table is merged into its order's table in list order."""
     if mode not in ("labeled", "canonical"):
         raise ValueError("mode must be 'labeled' or 'canonical'")
-    p = n // 2
     depth = min(2, d)
-    payloads = [(d, n, mode, prefix, stab)
-                for prefix, stab in _prefix_reps(all_perms(p), depth, p)]
-    table = CensusTable(d, n, mode)
+    payloads = [(d, n, mode, prefix, stab) for n in orders
+                for prefix, stab in _prefix_reps(all_perms(n // 2), depth, n // 2)]
+    tables = {n: CensusTable(d, n, mode) for n in orders}
     if workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            table.merge(_process_block(payload))
+        for part in map(_process_block, payloads):
+            tables[part.n].merge(part)
     else:
         import multiprocessing
 
         chunk = max(1, len(payloads) // (workers * 16))
         with multiprocessing.Pool(workers) as pool:
             for part in pool.imap(_process_block, payloads, chunksize=chunk):
-                table.merge(part)
-    table.selfcheck()
-    return table
+                tables[part.n].merge(part)
+    for table in tables.values():
+        table.selfcheck()
+    return [tables[n] for n in orders]
+
+
+def census_for_order(d, n, mode="labeled", workers=1, budget=None):
+    """Census table for a single order."""
+    _validate_order(d, n)
+    check_budget(d, n, budget)
+    return _tables(d, [n], mode, workers)[0]
 
 
 def run_census(d, n_max, mode="labeled", parallelism=1, budget=None):
@@ -302,8 +439,7 @@ def run_census(d, n_max, mode="labeled", parallelism=1, budget=None):
     orders = list(range(2, n_max + 1, 2))
     for n in orders:
         check_budget(d, n, budget)
-    return [census_for_order(d, n, mode, workers=parallelism, budget=budget)
-            for n in orders]
+    return _tables(d, orders, mode, parallelism)
 
 
 CENSUS_CSV = "census.csv"

@@ -133,11 +133,9 @@ class HomologyReport:
 
 
 def reduce_columns(matrix, tree):
-    """Drop the spanning-tree columns, keeping edge order; returns the
-    renumbered sparse rows and the edges of the kept columns."""
-    new_index = column_map(matrix.edge_columns, tree)
-    kept = tuple(e for e, c in zip(matrix.edge_columns, new_index) if c >= 0)
-    return drop_columns(matrix.entries, new_index), kept
+    """The sparse rows without the spanning-tree columns, renumbered in
+    edge order."""
+    return drop_columns(matrix.entries, column_map(matrix.edge_columns, tree))
 
 
 def gauge_checked_rank(full, reduced):
@@ -175,7 +173,7 @@ def homology_report(graph, matrix=None, tree=None):
         matrix = incidence_matrix(graph, enumerate_faces(graph))
     if tree is None:
         tree = spanning_tree(graph)
-    reduced, _ = reduce_columns(matrix, tree)
+    reduced = reduce_columns(matrix, tree)
     rank = gauge_checked_rank(matrix.entries, reduced)
     factors = checked_invariant_factors(reduced, rank)
     h1q = rank == graph.nullity

@@ -132,26 +132,25 @@ def checked_degree(d, n, jackets, face_total):
 class DegreeReport:
     """Degree of a graph together with the per-jacket genera.
 
-    degree_sum adds the jacket genera; degree_closed_form is
-    (d-1)! (d/2 + d(d-1)n/8 - |F|/2).  The two must agree; degree() raises
-    InternalMismatch otherwise, so a stored report is always consistent.
+    degree_sum adds the jacket genera.  degree() checks it against the
+    closed form (d-1)! (d/2 + d(d-1)n/8 - |F|/2) and raises
+    InternalMismatch on any difference, so a stored report is consistent.
     """
 
     genera: tuple
     degree_sum: int
-    degree_closed_form: int
     min_genus: int
     min_genus_bound: Fraction
 
 
 def degree(graph, jackets, faces):
-    """Compute the degree both ways and cross-check them."""
+    """The degree as the sum of the jacket genera, checked against its
+    closed form."""
     d, n = graph.d, graph.n
     total, min_genus = checked_degree(d, n, jackets, faces.total)
     return DegreeReport(
         genera=tuple((j.cycle, j.genus) for j in jackets),
         degree_sum=total,
-        degree_closed_form=total,
         min_genus=min_genus,
         min_genus_bound=min_genus_bound(d, n),
     )

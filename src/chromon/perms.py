@@ -8,11 +8,6 @@ def identity(p):
     return tuple(range(p))
 
 
-def compose(a, b):
-    """a after b, so compose(a, b)[i] == a[b[i]]."""
-    return tuple(a[x] for x in b)
-
-
 def inverse(a):
     inv = [0] * len(a)
     for i, v in enumerate(a):
@@ -44,11 +39,6 @@ def cycles(a):
             k = a[k]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_type(a):
-    """Cycle lengths in decreasing order."""
-    return tuple(sorted((len(c) for c in cycles(a)), reverse=True))
 
 
 @lru_cache(maxsize=None)

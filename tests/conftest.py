@@ -128,6 +128,28 @@ def sympy_invariant_factors(rows):
     return tuple(abs(int(f)) for f in facs if int(f) != 0)
 
 
+def compose(a, b):
+    """a after b, so compose(a, b)[i] == a[b[i]]."""
+    return tuple(a[x] for x in b)
+
+
+def cycle_type(a):
+    """Cycle lengths of a permutation in decreasing order, by following
+    each unvisited point around its cycle."""
+    seen = [False] * len(a)
+    lengths = []
+    for start in range(len(a)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            length += 1
+            k = a[k]
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def union_find_connected(d, n, sigma):
     """Connectivity of the colored graph by a local union-find over its n
     vertices; blacks are 0..p-1, whites p..2p-1."""

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import (brute_connected_count, burnside_connected_classes,
                       connected_tuple_counts, union_find_connected)
-from chromon import census, intmat
-from chromon.census import (CensusTable, DEFAULT_BUDGET, _OrderAnalyzer,
-                            census_for_order, check_budget, enumerate_connected,
-                            run_census, tuple_count, write_tables)
+from chromon import census, cli, intmat
+from chromon.analysis import analyze_graph
+from chromon.census import (CensusTable, DEFAULT_BUDGET, census_for_order,
+                            check_budget, enumerate_connected, run_census,
+                            tuple_count, write_tables)
 from chromon.errors import (BadDimension, BadOrder, BudgetExceeded,
                             InternalMismatch, InvariantViolation)
 from chromon.graphs import is_connected, parse_graph
@@ -16,13 +17,14 @@ from chromon.perms import conjugate
 
 
 def naive_table(d, n, mode):
-    """Reference table: analyze every streamed graph with weight one."""
-    analyzer = _OrderAnalyzer(d, n)
+    """Reference table: analyze_graph on every streamed graph with weight
+    one, so neither the orbit walk nor the census kernel is involved."""
     table = CensusTable(d, n, mode)
     for graph in enumerate_connected(d, n, mode=mode):
-        stats = analyzer.analyze(graph.sigma[1:])
-        assert stats is not None
-        table._add(*stats, 1)
+        result = analyze_graph(graph)
+        table._add(result.degree_report.degree_sum, result.degree_report.min_genus,
+                   result.homology.h1_rational_trivial,
+                   result.homology.h1_integral_trivial, 1)
     table.selfcheck()
     return table
 
@@ -51,11 +53,13 @@ def test_labeled_totals_match_recurrence():
     for n in (2, 4):
         assert census_for_order(4, n).total_connected == counts4[n // 2]
     assert counts4[2] == 15
+    assert census_for_order(7, 4).total_connected == connected_tuple_counts(7, 2)[2] == 127
 
 
 def test_orbit_walk_equals_per_tuple_sweep():
-    # the weighted orbit walk must reproduce the plain per-tuple tables
-    for d, n in ((3, 2), (3, 4), (3, 6), (4, 2), (4, 4)):
+    # the weighted leaders of the orbit walk must reproduce the plain
+    # per-tuple tables
+    for d, n in ((3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (5, 4), (6, 4)):
         for mode in ("labeled", "canonical"):
             assert tables_equal(census_for_order(d, n, mode), naive_table(d, n, mode))
 
@@ -83,6 +87,8 @@ def test_canonical_counts_match_burnside():
     assert burnside_connected_classes(3, 6) == 41
     assert (census_for_order(4, 4, "canonical").total_connected
             == burnside_connected_classes(4, 4))
+    assert (census_for_order(7, 4, "canonical").total_connected
+            == burnside_connected_classes(7, 4))
 
 
 def test_canonical_never_exceeds_labeled():
@@ -237,6 +243,34 @@ def test_kernel_check_raises_invariant_violation(monkeypatch):
     graph = parse_graph(pooled.value.graph_text)
     assert (graph.d, graph.n) == (3, 6)
     assert is_connected(graph)
+
+
+def test_wrong_stabilizer_size_raises_invariant_violation(tmp_path, capsys, monkeypatch):
+    # the leader test counts the roots that attain the least code, and
+    # that count must equal the stabilizer size the walk reports; here the
+    # walk reports every stabilizer one element too large
+    real = census._prefix_reps
+
+    def wrong(stab, levels, p):
+        for prefix, final_stab in real(stab, levels, p):
+            yield prefix, final_stab + final_stab[:1]
+
+    monkeypatch.setattr(census, "_prefix_reps", wrong)
+    for n, workers in ((4, 1), (6, 2)):
+        with pytest.raises(InvariantViolation) as exc:
+            census_for_order(3, n, workers=workers)
+        assert "least code" in str(exc.value)
+        graph = parse_graph(exc.value.graph_text)
+        assert (graph.d, graph.n) == (3, n)
+        assert is_connected(graph)
+    out_dir = tmp_path / "broken"
+    rc = cli.main(["census", "--dim", "3", "--order-max", "6", "--threads", "2",
+                   "--out", str(out_dir)])
+    assert rc == 2
+    assert "least code" in capsys.readouterr().err
+    graph = parse_graph((out_dir / "counterexample.cg").read_text())
+    assert graph.d == 3 and is_connected(graph)
+    assert not (out_dir / "census.csv").exists()
 
 
 def test_homology_trivial_bounds_are_checked(monkeypatch):

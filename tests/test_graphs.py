@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import union_find_connected
+from conftest import compose, cycle_type, union_find_connected
 from chromon.errors import BadDimension, BadOrder, FormatError, NonBijective
 from chromon.graphs import (build_graph, enumerate_faces, format_graph,
                             is_connected, parse_graph)
-from chromon.perms import compose, cycle_type, inverse
+from chromon.perms import inverse
 
 
 def dipole(d):

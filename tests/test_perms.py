@@ -2,8 +2,9 @@ from itertools import permutations
 
 from hypothesis import given, strategies as st
 
-from chromon.perms import (all_perms, centralizer, compose, conjugacy_class_reps,
-                           conjugate, cycle_type, cycles, identity, inverse)
+from conftest import compose, cycle_type
+from chromon.perms import (all_perms, centralizer, conjugacy_class_reps, conjugate,
+                           cycles, identity, inverse)
 
 perm_st = st.integers(min_value=1, max_value=6).flatmap(
     lambda p: st.permutations(list(range(p))).map(tuple))
